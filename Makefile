@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz lint lint-baseline check alloc bench bench-parallel bench-multilevel cover smoke-serve bench-serve chaos smoke-cluster
+.PHONY: build test vet race fuzz lint lint-baseline check alloc bench bench-parallel bench-multilevel bench-compat cover smoke-serve bench-serve chaos smoke-cluster
 
 build:
 	$(GO) build ./...
@@ -92,6 +92,14 @@ bench-multilevel:
 		$(GO) run ./tools/benchjson BENCH_multilevel.txt > BENCH_multilevel.json && \
 		echo "wrote BENCH_multilevel.json (new baseline — commit it with git add -f)"; \
 	fi
+
+# The repo benchmark (perfbench/, BENCHMARK.json) is its own Go module,
+# so the root `go build/test ./...` never compiles it. Vet it and run
+# its self-test against this tree, so an API change that breaks the
+# benchmark fails here rather than unseen.
+bench-compat:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # End-to-end smoke test of the mapping daemon: build, serve on a random
 # port, cold-then-warm /v1/map (miss then hit), graceful SIGTERM drain.

@@ -7,10 +7,11 @@
 // every attempt with its own timeout, and stops the moment the caller's
 // context is done.
 //
-// The wire types here deliberately duplicate the subset of
-// internal/serve's JSON schema that clients consume rather than
-// importing the server package: the wire contract, not the server's Go
-// types, is the interface.
+// This package is also the single Go definition of the daemon's wire
+// schema: MapRequest, MapOptions, MapResponse, MetricsSummary and
+// BatchItem are declared here, and internal/serve decodes and encodes
+// these same types (through type aliases), so client and server cannot
+// drift apart. The package stays stdlib-only for that reason.
 package client
 
 import (
@@ -27,64 +28,120 @@ import (
 	"time"
 )
 
-// MapOptions is the v2 options envelope of POST /v1/map: the subset of
-// the server's options schema that clients typically set.
+// MapOptions is the options envelope of POST /v1/map: the
+// result-affecting knobs of oregami.MapOptions plus per-request
+// deadlines and request behavior.
 type MapOptions struct {
-	// Algo picks the MAPPER class/algorithm: canned, systolic,
-	// group-theoretic, arbitrary, multilevel, or recursive-bisection
-	// (empty = auto-dispatch).
-	Algo        string `json:"algo,omitempty"`
-	Parallelism int    `json:"parallelism,omitempty"`
-	TimeoutMS   int    `json:"timeout_ms,omitempty"`
-	// Check and NoCache are the v2 homes of the top-level request
-	// fields of the same names.
-	Check   bool `json:"check,omitempty"`
+	// Algo restricts the dispatcher to one algorithm class: "canned",
+	// "systolic", "group-theoretic", "arbitrary", "multilevel", or
+	// "recursive-bisection" ("" or "auto" lets the dispatcher choose;
+	// the scale-oriented multilevel/recursive-bisection mappers are
+	// never auto-selected).
+	Algo string `json:"algo,omitempty"`
+	// Check runs the post-condition oracle on the served mapping (also
+	// settable with ?check=1); violations fail the request with 422.
+	Check bool `json:"check,omitempty"`
+	// NoCache bypasses the result cache lookup (the result is still
+	// stored), forcing a full computation. NoCache requests are never
+	// proxied to the owning cluster node — a bypass measures this node's
+	// pipeline.
 	NoCache bool `json:"nocache,omitempty"`
+	// MaxTasksPerProc is MWM-Contract's load-balance bound B.
+	MaxTasksPerProc int `json:"max_tasks_per_proc,omitempty"`
+	// MaximumMatchingRouter swaps MM-Route's greedy maximal matching for
+	// a maximum matching per round.
+	MaximumMatchingRouter bool `json:"maximum_matching_router,omitempty"`
+	// Refine applies local-search refinement on the arbitrary path.
+	Refine bool `json:"refine,omitempty"`
+	// TimeoutMS bounds this request's pipeline; it is capped by the
+	// server's configured request timeout.
+	TimeoutMS int `json:"timeout_ms,omitempty"`
+	// StageTimeoutMS bounds the MWM contraction stage (degrading to the
+	// Stone/greedy ladder on expiry); capped by the server's configured
+	// stage timeout when one is set.
+	StageTimeoutMS int `json:"stage_timeout_ms,omitempty"`
+	// Parallelism bounds the worker count of this request's MAPPER hot
+	// paths. Zero means "use the server's per-request budget"; positive
+	// values are capped by that budget; negative values are rejected
+	// with 400. The mapping produced — and therefore the cache key — is
+	// identical at every setting.
+	Parallelism int `json:"parallelism,omitempty"`
 }
 
-// MapRequest is the body of POST /v1/map.
+// MapRequest is the body of POST /v1/map: a LaRCS program (inline source
+// or a bundled workload name), parameter bindings, a target network
+// spec, and options.
 type MapRequest struct {
-	Source   string         `json:"source,omitempty"`
-	Workload string         `json:"workload,omitempty"`
+	// Source is inline LaRCS text. Exactly one of Source and Workload
+	// must be set.
+	Source string `json:"source,omitempty"`
+	// Workload names a bundled workload (GET /v1/workloads lists them);
+	// its default bindings are merged under Bindings.
+	Workload string `json:"workload,omitempty"`
+	// Bindings are LaRCS parameter values, e.g. {"n": 15, "s": 2}.
 	Bindings map[string]int `json:"bindings,omitempty"`
-	Net      string         `json:"net"`
-	// Options is the v2 options envelope.
+	// Net is the target network spec in CLI syntax, e.g. "hypercube:3"
+	// or "mesh:4,4".
+	Net     string      `json:"net"`
 	Options *MapOptions `json:"options,omitempty"`
-	// Check and NoCache are deprecated top-level aliases of
-	// Options.Check / Options.NoCache, kept for one release.
-	Check   bool `json:"check,omitempty"`
-	NoCache bool `json:"nocache,omitempty"`
 }
 
-// MapResponse is the subset of a successful POST /v1/map body that
-// clients consume.
+// MetricsSummary is the METRICS headline numbers for a served mapping.
+type MetricsSummary struct {
+	Imbalance     float64 `json:"imbalance"`
+	TotalIPC      float64 `json:"total_ipc"`
+	TotalVolume   float64 `json:"total_volume"`
+	MaxContention int     `json:"max_contention"`
+	MaxDilation   int     `json:"max_dilation"`
+}
+
+// MapResponse is the body of a successful POST /v1/map.
 type MapResponse struct {
-	APIVersion  string `json:"apiVersion"`
-	Workload    string `json:"workload"`
-	Net         string `json:"net"`
-	Tasks       int    `json:"tasks"`
-	Procs       int    `json:"procs"`
-	Class       string `json:"class"`
-	Method      string `json:"method"`
-	Assignment  []int  `json:"assignment"`
+	// APIVersion is the wire schema version (always "v2" today).
+	APIVersion string `json:"apiVersion"`
+	// Workload echoes the workload name, or "source" for inline text.
+	Workload string `json:"workload"`
+	// Net is the canonical network name, e.g. "hypercube(3)".
+	Net   string `json:"net"`
+	Tasks int    `json:"tasks"`
+	Procs int    `json:"procs"`
+	// Class and Method identify the MAPPER algorithms used.
+	Class  string   `json:"class"`
+	Method string   `json:"method"`
+	Trail  []string `json:"trail,omitempty"`
+	// Assignment[t] is the processor hosting task t.
+	Assignment []int           `json:"assignment"`
+	Metrics    *MetricsSummary `json:"metrics,omitempty"`
+	// Fingerprint is the hex SHA-256 of the mapping's deterministic
+	// fingerprint: equal inputs must serve equal fingerprints.
 	Fingerprint string `json:"fingerprint"`
-	Cache       string `json:"cache"`
-	// Node is the cluster node that produced the result; Proxied is set
-	// when the answering node fetched it from the key's owner. Both are
-	// empty outside cluster mode.
-	Node       string   `json:"node,omitempty"`
-	Proxied    bool     `json:"proxied,omitempty"`
+	// Cache reports how the result was obtained: "miss" (computed),
+	// "hit" (served from cache), "shared" (deduplicated onto a
+	// concurrent identical computation), or "bypass" (nocache).
+	Cache string `json:"cache"`
+	// Checked is set when the post-condition oracle ran for this
+	// response; Violations lists what it found (empty on success —
+	// non-empty only appears on 422 bodies).
 	Checked    bool     `json:"checked,omitempty"`
 	Violations []string `json:"violations,omitempty"`
-	ComputeMS  float64  `json:"compute_ms"`
-	ElapsedMS  float64  `json:"elapsed_ms"`
-	// Error carries a failed streaming-batch item's error line.
+	// ComputeMS is the pipeline time of the computation that produced
+	// the mapping (zero-ish for cache hits); ElapsedMS is this request's
+	// wall time including queueing.
+	ComputeMS float64 `json:"compute_ms"`
+	ElapsedMS float64 `json:"elapsed_ms"`
+	// Node identifies the cluster node whose cache/pipeline produced the
+	// result (empty outside cluster mode); Proxied marks a response the
+	// receiving node obtained by forwarding the miss to the key's owner.
+	Node    string `json:"node,omitempty"`
+	Proxied bool   `json:"proxied,omitempty"`
+	// Error is set on failed items of a /v1/map/batch stream.
 	Error string `json:"error,omitempty"`
 }
 
-// BatchItem is one NDJSON line of a streaming POST /v1/map/batch
-// response: the item's MapResponse plus its index in the request array
-// (items arrive in completion order, not request order).
+// BatchItem is one streamed result line of POST /v1/map/batch: the
+// item's position in the request array plus its full MapResponse
+// (failed items carry the Error field). Items arrive in completion
+// order, not request order — Index is how the client reassembles.
 type BatchItem struct {
 	Index int `json:"index"`
 	MapResponse
@@ -139,128 +196,101 @@ func (e *RetriesExhaustedError) Error() string {
 func (e *RetriesExhaustedError) Unwrap() error { return e.Last }
 
 // Option configures a Client during New. Options are applied in
-// order. The functional constructors below (WithRetries, WithTimeout,
-// WithSleep, ...) are the v2 construction surface; a whole Options
-// struct is itself an Option — it replaces the configuration wholesale,
-// which keeps pre-v2 call sites (`client.New(addr, client.Options{...})`)
-// compiling and behaving exactly as before.
-type Option interface{ applyOption(*Options) }
+// order, so a later one overrides an earlier one.
+type Option func(*options)
 
-type optionFunc func(*Options)
-
-func (f optionFunc) applyOption(o *Options) { f(o) }
-
-// applyOption makes Options itself an Option: wholesale replacement,
-// the v1 semantics of passing the struct to New.
-func (o Options) applyOption(dst *Options) { *dst = o }
-
-// WithHTTPClient overrides the transport.
+// WithHTTPClient overrides the transport; by default a dedicated client
+// with generous idle-connection reuse is built.
 func WithHTTPClient(hc *http.Client) Option {
-	return optionFunc(func(o *Options) { o.HTTPClient = hc })
+	return func(o *options) { o.httpClient = hc }
 }
 
-// WithRetries bounds tries per call, first attempt included.
+// WithRetries bounds tries per call, first attempt included (default 5).
 func WithRetries(n int) Option {
-	return optionFunc(func(o *Options) { o.MaxAttempts = n })
+	return func(o *options) { o.maxAttempts = n }
 }
 
-// WithBackoff sets the exponential schedule's seed and cap.
+// WithBackoff sets the exponential schedule's seed (default 100ms) and
+// cap (default 5s): the wait before retry k is base<<k, jittered, capped
+// by max. A server Retry-After overrides the schedule (still capped).
 func WithBackoff(base, max time.Duration) Option {
-	return optionFunc(func(o *Options) { o.BaseBackoff, o.MaxBackoff = base, max })
+	return func(o *options) { o.baseBackoff, o.maxBackoff = base, max }
 }
 
-// WithTimeout bounds each individual attempt.
+// WithTimeout bounds each individual attempt (default 30s); the caller's
+// context still bounds the call as a whole.
 func WithTimeout(d time.Duration) Option {
-	return optionFunc(func(o *Options) { o.AttemptTimeout = d })
+	return func(o *options) { o.attemptTimeout = d }
 }
 
-// WithRand replaces the jitter source (tests).
+// WithRand replaces the jitter source (tests); the default is math/rand.
 func WithRand(fn func() float64) Option {
-	return optionFunc(func(o *Options) { o.Rand = fn })
+	return func(o *options) { o.rand = fn }
 }
 
-// WithSleep replaces the inter-attempt wait (tests).
+// WithSleep replaces the inter-attempt wait (tests); the default sleeps
+// on the clock, waking early when ctx is done.
 func WithSleep(fn func(ctx context.Context, d time.Duration) error) Option {
-	return optionFunc(func(o *Options) { o.Sleep = fn })
+	return func(o *options) { o.sleep = fn }
 }
 
 // WithOnRetry observes each scheduled retry.
 func WithOnRetry(fn func(attempt int, wait time.Duration, cause error)) Option {
-	return optionFunc(func(o *Options) { o.OnRetry = fn })
+	return func(o *options) { o.onRetry = fn }
 }
 
-// Options tunes a Client. The zero value gets sane defaults.
-//
-// Deprecated as a construction surface: mutate-and-pass construction is
-// superseded by the functional options above; the struct and its fields
-// keep working (it satisfies Option) but new code should write
-// client.New(addr, client.WithRetries(3), ...).
-type Options struct {
-	// HTTPClient overrides the transport; by default a dedicated client
-	// with generous idle-connection reuse is built.
-	HTTPClient *http.Client
-	// MaxAttempts bounds tries per call, first attempt included
-	// (default 5).
-	MaxAttempts int
-	// BaseBackoff seeds the exponential schedule (default 100ms); the
-	// wait before retry k is BaseBackoff<<k, jittered, capped by
-	// MaxBackoff (default 5s). A server Retry-After overrides the
-	// schedule (still capped).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// AttemptTimeout bounds each individual attempt (default 30s); the
-	// caller's context still bounds the call as a whole.
-	AttemptTimeout time.Duration
-	// Rand replaces the jitter source (tests); nil uses math/rand.
-	Rand func() float64
-	// Sleep replaces the inter-attempt wait (tests); nil sleeps on the
-	// clock, waking early when ctx is done.
-	Sleep func(ctx context.Context, d time.Duration) error
-	// OnRetry, when set, observes each scheduled retry.
-	OnRetry func(attempt int, wait time.Duration, cause error)
+// options is a Client's configuration; zero fields take the defaults
+// documented on the With* constructors.
+type options struct {
+	httpClient              *http.Client
+	maxAttempts             int
+	baseBackoff, maxBackoff time.Duration
+	attemptTimeout          time.Duration
+	rand                    func() float64
+	sleep                   func(ctx context.Context, d time.Duration) error
+	onRetry                 func(attempt int, wait time.Duration, cause error)
 }
 
 // Client talks to one oregami serve instance. Safe for concurrent use.
 type Client struct {
 	base string
-	opt  Options
+	opt  options
 }
 
 // New builds a client for the daemon at base ("http://host:port" or a
 // bare "host:port"), configured by zero or more Options applied in
-// order (both functional options and whole Options structs are
-// accepted; see Option).
+// order.
 func New(base string, opts ...Option) *Client {
-	var opt Options
+	var opt options
 	for _, o := range opts {
-		o.applyOption(&opt)
+		o(&opt)
 	}
 	if base != "" && base[0] != 'h' {
 		base = "http://" + base
 	}
-	if opt.HTTPClient == nil {
-		opt.HTTPClient = &http.Client{Transport: &http.Transport{
+	if opt.httpClient == nil {
+		opt.httpClient = &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        64,
 			MaxIdleConnsPerHost: 64,
 		}}
 	}
-	if opt.MaxAttempts <= 0 {
-		opt.MaxAttempts = 5
+	if opt.maxAttempts <= 0 {
+		opt.maxAttempts = 5
 	}
-	if opt.BaseBackoff <= 0 {
-		opt.BaseBackoff = 100 * time.Millisecond
+	if opt.baseBackoff <= 0 {
+		opt.baseBackoff = 100 * time.Millisecond
 	}
-	if opt.MaxBackoff <= 0 {
-		opt.MaxBackoff = 5 * time.Second
+	if opt.maxBackoff <= 0 {
+		opt.maxBackoff = 5 * time.Second
 	}
-	if opt.AttemptTimeout <= 0 {
-		opt.AttemptTimeout = 30 * time.Second
+	if opt.attemptTimeout <= 0 {
+		opt.attemptTimeout = 30 * time.Second
 	}
-	if opt.Rand == nil {
-		opt.Rand = rand.Float64
+	if opt.rand == nil {
+		opt.rand = rand.Float64
 	}
-	if opt.Sleep == nil {
-		opt.Sleep = func(ctx context.Context, d time.Duration) error {
+	if opt.sleep == nil {
+		opt.sleep = func(ctx context.Context, d time.Duration) error {
 			t := time.NewTimer(d)
 			defer t.Stop()
 			select {
@@ -335,7 +365,7 @@ func (c *Client) MapBatch(ctx context.Context, reqs []MapRequest, onItem func(Ba
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("Accept", "application/x-ndjson")
-	resp, err := c.opt.HTTPClient.Do(req)
+	resp, err := c.opt.httpClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("client: batch: %w", err)
 	}
@@ -373,7 +403,7 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 		if err != nil {
 			return attemptError{err: err}
 		}
-		resp, err := c.opt.HTTPClient.Do(req)
+		resp, err := c.opt.httpClient.Do(req)
 		if err != nil {
 			return attemptError{err: err, retryable: true}
 		}
@@ -411,7 +441,7 @@ func (c *Client) WaitReady(ctx context.Context, maxWait time.Duration) error {
 		if err != nil {
 			return err
 		}
-		resp, err := c.opt.HTTPClient.Do(req)
+		resp, err := c.opt.httpClient.Do(req)
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
@@ -419,7 +449,7 @@ func (c *Client) WaitReady(ctx context.Context, maxWait time.Duration) error {
 				return nil
 			}
 		}
-		if serr := c.opt.Sleep(ctx, 25*time.Millisecond); serr != nil {
+		if serr := c.opt.sleep(ctx, 25*time.Millisecond); serr != nil {
 			return fmt.Errorf("client: server never became ready: %w", serr)
 		}
 	}
@@ -432,7 +462,7 @@ func (c *Client) post(ctx context.Context, path string, body []byte) (*MapRespon
 		return nil, attemptError{err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.opt.HTTPClient.Do(req)
+	resp, err := c.opt.httpClient.Do(req)
 	if err != nil {
 		// Transport-level failures (refused, reset, attempt timeout) are
 		// exactly the restart window this client exists for.
@@ -476,8 +506,8 @@ func statusError(resp *http.Response) attemptError {
 // come back as *RetriesExhaustedError once the budget is spent.
 func (c *Client) withRetries(ctx context.Context, fn func(ctx context.Context) attemptError) error {
 	var last error
-	for attempt := 0; attempt < c.opt.MaxAttempts; attempt++ {
-		actx, cancel := context.WithTimeout(ctx, c.opt.AttemptTimeout)
+	for attempt := 0; attempt < c.opt.maxAttempts; attempt++ {
+		actx, cancel := context.WithTimeout(ctx, c.opt.attemptTimeout)
 		ae := fn(actx)
 		cancel()
 		if ae.err == nil {
@@ -490,35 +520,35 @@ func (c *Client) withRetries(ctx context.Context, fn func(ctx context.Context) a
 		if ctx.Err() != nil {
 			return &RetriesExhaustedError{Attempts: attempt + 1, Last: errors.Join(last, ctx.Err())}
 		}
-		if attempt == c.opt.MaxAttempts-1 {
+		if attempt == c.opt.maxAttempts-1 {
 			break
 		}
 		wait := c.backoff(attempt, ae.retryAfter)
-		if c.opt.OnRetry != nil {
-			c.opt.OnRetry(attempt+1, wait, ae.err)
+		if c.opt.onRetry != nil {
+			c.opt.onRetry(attempt+1, wait, ae.err)
 		}
-		if err := c.opt.Sleep(ctx, wait); err != nil {
+		if err := c.opt.sleep(ctx, wait); err != nil {
 			return &RetriesExhaustedError{Attempts: attempt + 1, Last: errors.Join(last, err)}
 		}
 	}
-	return &RetriesExhaustedError{Attempts: c.opt.MaxAttempts, Last: last}
+	return &RetriesExhaustedError{Attempts: c.opt.maxAttempts, Last: last}
 }
 
 // backoff computes the wait before retrying attempt (0-based): the
-// server's Retry-After when given, else BaseBackoff<<attempt with up to
+// server's Retry-After when given, else the base backoff<<attempt with up to
 // 50% random jitter subtracted (decorrelating synchronized clients),
-// everything capped at MaxBackoff.
+// everything capped at the backoff cap.
 func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 	if retryAfter > 0 {
-		if retryAfter > c.opt.MaxBackoff {
-			return c.opt.MaxBackoff
+		if retryAfter > c.opt.maxBackoff {
+			return c.opt.maxBackoff
 		}
 		return retryAfter
 	}
-	d := c.opt.BaseBackoff << uint(attempt)
-	if d > c.opt.MaxBackoff || d <= 0 {
-		d = c.opt.MaxBackoff
+	d := c.opt.baseBackoff << uint(attempt)
+	if d > c.opt.maxBackoff || d <= 0 {
+		d = c.opt.maxBackoff
 	}
-	jitter := time.Duration(c.opt.Rand() * float64(d) * 0.5)
+	jitter := time.Duration(c.opt.rand() * float64(d) * 0.5)
 	return d - jitter
 }

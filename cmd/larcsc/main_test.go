@@ -223,8 +223,8 @@ func TestCLIAlgo(t *testing.T) {
 	if !strings.Contains(string(out), "class multilevel") {
 		t.Errorf("class missing:\n%s", out)
 	}
-	// Conflicting -algo/-force is a usage error (exit 2).
-	if code, out := exitCode(t, bin, "map", "-workload", "jacobi", "-net", "hier:2,2,4", "-algo", "multilevel", "-force", "canned"); code != 2 || !strings.Contains(out, "conflicts with deprecated -force") {
-		t.Errorf("conflict: exit %d, want 2 with named conflict\n%s", code, out)
+	// -force is a retired spelling of -algo: an unknown flag (exit 2).
+	if code, out := exitCode(t, bin, "map", "-workload", "jacobi", "-net", "hier:2,2,4", "-force", "canned"); code != 2 || !strings.Contains(out, "-force") {
+		t.Errorf("-force: exit %d, want 2 naming the flag\n%s", code, out)
 	}
 }

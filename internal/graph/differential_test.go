@@ -17,7 +17,7 @@ import (
 	"oregami/internal/graph"
 )
 
-// refChainWeights is the historical CollapsedWeights algorithm: one map,
+// refChainWeights is the map form of the CSR weights: one map,
 // accumulated pair by pair in phase-then-edge order (a single addition
 // chain per pair).
 func refChainWeights(g *graph.TaskGraph) map[[2]int]float64 {
@@ -84,14 +84,14 @@ func TestCollapsedWeightsMatchesMapReferee(t *testing.T) {
 	gen.ForEachSeed(t, 60, func(t *testing.T, seed int64, r *rand.Rand) {
 		g := gen.TaskGraph(r, diffSize(r))
 		ref := refChainWeights(g)
-		got := g.CollapsedWeights()
-		if len(got) != len(ref) {
-			t.Fatalf("CollapsedWeights has %d pairs, referee %d", len(got), len(ref))
+		got := g.CSR()
+		if got.NumPairs() != len(ref) {
+			t.Fatalf("CSR has %d pairs, referee %d", got.NumPairs(), len(ref))
 		}
 		for k, w := range ref {
-			gw, ok := got[k]
+			gw, ok := got.WeightBetween(k[0], k[1])
 			if !ok {
-				t.Fatalf("pair %v missing from CollapsedWeights", k)
+				t.Fatalf("pair %v missing from the CSR", k)
 			}
 			if !sameBits(gw, w) {
 				t.Fatalf("pair %v weight %v (bits %x), referee %v (bits %x)",

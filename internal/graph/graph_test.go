@@ -95,11 +95,11 @@ func TestCollapsedWeightsMergesDirections(t *testing.T) {
 	g.AddEdge(p, 1, 0, 4)
 	q := g.AddCommPhase("q")
 	g.AddEdge(q, 0, 1, 5)
-	w := g.CollapsedWeights()
-	if len(w) != 1 {
-		t.Fatalf("collapsed map has %d entries, want 1", len(w))
+	c := g.CSR()
+	if c.NumPairs() != 1 {
+		t.Fatalf("collapsed graph has %d pairs, want 1", c.NumPairs())
 	}
-	if got := w[[2]int{0, 1}]; got != 12 {
+	if got, _ := c.WeightBetween(0, 1); got != 12 {
 		t.Errorf("collapsed weight = %g, want 12", got)
 	}
 }
@@ -108,7 +108,7 @@ func TestCollapsedIgnoresSelfLoops(t *testing.T) {
 	g := New("g", 2)
 	p := g.AddCommPhase("p")
 	g.AddEdge(p, 0, 0, 7)
-	if len(g.CollapsedWeights()) != 0 {
+	if len(g.CollapsedEntries(1)) != 0 || g.CSR().NumPairs() != 0 {
 		t.Error("self loop appeared in collapsed weights")
 	}
 }
@@ -291,8 +291,8 @@ func TestEdgeCutExtremesProperty(t *testing.T) {
 			diff[i] = i
 		}
 		var total float64
-		for _, w := range g.CollapsedWeights() {
-			total += w
+		for _, e := range g.CollapsedEntries(1) {
+			total += e.W
 		}
 		return g.EdgeCut(same) == 0 && g.EdgeCut(diff) == total
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"oregami/client"
 	"oregami/internal/analysis"
 	"oregami/internal/check"
 	"oregami/internal/core"
@@ -22,135 +23,25 @@ import (
 // response envelope (success, error, and batch alike) as "apiVersion".
 // Clients should reject envelopes whose version they do not understand.
 //
-// v2 (this release) moved the request knobs into the options{} envelope
-// (options.algo/check/nocache; the v1 top-level check/nocache and
-// options.force spellings remain accepted as deprecated aliases for one
-// release), added node/proxied to response envelopes for cluster mode,
-// and made /v1/map/batch stream NDJSON by default.
+// v2 moved the request knobs into the options{} envelope
+// (options.algo/check/nocache), added node/proxied to response envelopes
+// for cluster mode, and made /v1/map/batch a stream (NDJSON or SSE).
 const APIVersion = "v2"
 
-// MapRequest is the body of POST /v1/map: a LaRCS program (inline source
-// or a bundled workload name), parameter bindings, a target network
-// spec, and options.
-type MapRequest struct {
-	// Source is inline LaRCS text. Exactly one of Source and Workload
-	// must be set.
-	Source string `json:"source,omitempty"`
-	// Workload names a bundled workload (GET /v1/workloads lists them);
-	// its default bindings are merged under Bindings.
-	Workload string `json:"workload,omitempty"`
-	// Bindings are LaRCS parameter values, e.g. {"n": 15, "s": 2}.
-	Bindings map[string]int `json:"bindings,omitempty"`
-	// Net is the target network spec in CLI syntax, e.g. "hypercube:3"
-	// or "mesh:4,4".
-	Net string `json:"net"`
-	// Options tune the MAPPER dispatcher (the v2 envelope; request
-	// behavior knobs live here too as options.check / options.nocache).
-	Options *MapRequestOptions `json:"options,omitempty"`
-	// Check is the deprecated v1 spelling of options.check (also
-	// settable with ?check=1); either one runs the post-condition oracle
-	// on the served mapping, and violations fail the request with 422.
-	Check bool `json:"check,omitempty"`
-	// NoCache is the deprecated v1 spelling of options.nocache; either
-	// one bypasses the result cache lookup (the result is still stored),
-	// forcing a full computation — the load generator's cold phase.
-	NoCache bool `json:"nocache,omitempty"`
-}
-
-// MapRequestOptions mirrors the result-affecting oregami.MapOptions plus
-// per-request deadlines.
-type MapRequestOptions struct {
-	// Algo restricts the dispatcher to one algorithm class: "canned",
-	// "systolic", "group-theoretic", "arbitrary", "multilevel", or
-	// "recursive-bisection" ("" or "auto" lets the dispatcher choose;
-	// the scale-oriented multilevel/recursive-bisection mappers are
-	// never auto-selected).
-	Algo string `json:"algo,omitempty"`
-	// Force is the deprecated v1 spelling of Algo. Setting both to
-	// different classes is a 400.
-	Force string `json:"force,omitempty"`
-	// Check is the v2 home of MapRequest.Check: run the post-condition
-	// oracle on the served mapping.
-	Check bool `json:"check,omitempty"`
-	// NoCache is the v2 home of MapRequest.NoCache: bypass the result
-	// cache lookup. NoCache requests are never proxied to the owning
-	// cluster node — a bypass measures this node's pipeline.
-	NoCache bool `json:"nocache,omitempty"`
-	// MaxTasksPerProc is MWM-Contract's load-balance bound B.
-	MaxTasksPerProc int `json:"max_tasks_per_proc,omitempty"`
-	// MaximumMatchingRouter swaps MM-Route's greedy maximal matching for
-	// a maximum matching per round.
-	MaximumMatchingRouter bool `json:"maximum_matching_router,omitempty"`
-	// Refine applies local-search refinement on the arbitrary path.
-	Refine bool `json:"refine,omitempty"`
-	// TimeoutMS bounds this request's pipeline; it is capped by the
-	// server's configured request timeout.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// StageTimeoutMS bounds the MWM contraction stage (degrading to the
-	// Stone/greedy ladder on expiry); capped by the server's configured
-	// stage timeout when one is set.
-	StageTimeoutMS int `json:"stage_timeout_ms,omitempty"`
-	// Parallelism bounds the worker count of this request's MAPPER hot
-	// paths. Zero means "use the server's per-request budget" (its core
-	// budget divided across the worker pool); positive values are capped
-	// by that budget; negative values are rejected with 400. The mapping
-	// produced — and therefore the cache key — is identical at every
-	// setting.
-	Parallelism int `json:"parallelism,omitempty"`
-}
-
-// MetricsSummary is the METRICS headline numbers for a served mapping.
-type MetricsSummary struct {
-	Imbalance     float64 `json:"imbalance"`
-	TotalIPC      float64 `json:"total_ipc"`
-	TotalVolume   float64 `json:"total_volume"`
-	MaxContention int     `json:"max_contention"`
-	MaxDilation   int     `json:"max_dilation"`
-}
-
-// MapResponse is the body of a successful POST /v1/map.
-type MapResponse struct {
-	// APIVersion is the wire schema version (always "v2" today).
-	APIVersion string `json:"apiVersion"`
-	// Workload echoes the workload name, or "source" for inline text.
-	Workload string `json:"workload"`
-	// Net is the canonical network name, e.g. "hypercube(3)".
-	Net   string `json:"net"`
-	Tasks int    `json:"tasks"`
-	Procs int    `json:"procs"`
-	// Class and Method identify the MAPPER algorithms used.
-	Class  string   `json:"class"`
-	Method string   `json:"method"`
-	Trail  []string `json:"trail,omitempty"`
-	// Assignment[t] is the processor hosting task t.
-	Assignment []int           `json:"assignment"`
-	Metrics    *MetricsSummary `json:"metrics,omitempty"`
-	// Fingerprint is the hex SHA-256 of the mapping's deterministic
-	// fingerprint (check.Fingerprint): equal inputs must serve equal
-	// fingerprints.
-	Fingerprint string `json:"fingerprint"`
-	// Cache reports how the result was obtained: "miss" (computed),
-	// "hit" (served from cache), "shared" (deduplicated onto a
-	// concurrent identical computation), or "bypass" (nocache).
-	Cache string `json:"cache"`
-	// Checked is set when the post-condition oracle ran for this
-	// response; Violations lists what it found (empty on success —
-	// non-empty only appears on 422 bodies).
-	Checked    bool     `json:"checked,omitempty"`
-	Violations []string `json:"violations,omitempty"`
-	// ComputeMS is the pipeline time of the computation that produced
-	// the mapping (zero-ish for cache hits); ElapsedMS is this request's
-	// wall time including queueing.
-	ComputeMS float64 `json:"compute_ms"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-	// Node identifies the cluster node whose cache/pipeline produced the
-	// result (empty outside cluster mode); Proxied marks a response the
-	// receiving node obtained by forwarding the miss to the key's owner.
-	Node    string `json:"node,omitempty"`
-	Proxied bool   `json:"proxied,omitempty"`
-	// Error is set on failed batch items in /v1/map/batch responses.
-	Error string `json:"error,omitempty"`
-}
+// The /v1/map wire types are declared once, in oregami/client; the
+// server decodes and encodes the very same Go types.
+type (
+	// MapRequest is the body of POST /v1/map.
+	MapRequest = client.MapRequest
+	// MapRequestOptions is the options envelope of a MapRequest.
+	MapRequestOptions = client.MapOptions
+	// MapResponse is the body of a successful POST /v1/map.
+	MapResponse = client.MapResponse
+	// MetricsSummary is the METRICS headline numbers for a served mapping.
+	MetricsSummary = client.MetricsSummary
+	// BatchItem is one streamed result line of POST /v1/map/batch.
+	BatchItem = client.BatchItem
+)
 
 // VetRequest is the body of POST /v1/vet.
 type VetRequest struct {
@@ -176,31 +67,13 @@ type WorkloadsResponse struct {
 	Workloads  []WorkloadInfo `json:"workloads"`
 }
 
-// BatchItem is one streamed result line of POST /v1/map/batch: the
-// item's position in the request array plus its full MapResponse
-// (failed items carry the Error field). Items arrive in completion
-// order, not request order — Index is how the client reassembles.
-type BatchItem struct {
-	Index int `json:"index"`
-	MapResponse
-}
-
-// BatchResponse is the buffered body of POST /v1/map/batch when the
-// client asks for the deprecated v1 shape with "Accept:
-// application/json": per-item results in request order. The default
-// (and NDJSON/SSE) response is a stream of BatchItem lines instead.
-type BatchResponse struct {
-	APIVersion string        `json:"apiVersion"`
-	Results    []MapResponse `json:"results"`
-}
-
 // StatsResponse is the body of GET /v1/stats?json=1.
 type StatsResponse struct {
 	APIVersion string      `json:"apiVersion"`
 	Stats      interface{} `json:"stats"`
 }
 
-// ErrorResponse is every error body: {"apiVersion": "v1", "error": msg}.
+// ErrorResponse is every error body: {"apiVersion": "v2", "error": msg}.
 type ErrorResponse struct {
 	APIVersion string `json:"apiVersion"`
 	Error      string `json:"error"`
@@ -261,8 +134,6 @@ func (s *Server) resolve(req *MapRequest) (*resolved, *httpError) {
 	r := &resolved{
 		name:     "source",
 		bindings: make(map[string]int),
-		check:    req.Check,
-		nocache:  req.NoCache,
 	}
 	src := req.Source
 	if req.Workload != "" {
@@ -292,16 +163,6 @@ func (s *Server) resolve(req *MapRequest) (*resolved, *httpError) {
 	r.net = net
 	if req.Options != nil {
 		r.opts = *req.Options
-		// Merge the deprecated v1 spellings into their v2 homes: force is
-		// an alias of algo, and options.check/nocache OR with the
-		// top-level flags.
-		if r.opts.Force != "" {
-			if r.opts.Algo != "" && r.opts.Algo != r.opts.Force {
-				return nil, badRequest("options.algo %q and deprecated options.force %q disagree; set only algo", r.opts.Algo, r.opts.Force)
-			}
-			r.opts.Algo = r.opts.Force
-			r.opts.Force = ""
-		}
 		switch r.opts.Algo {
 		case "", "auto", string(core.ClassCanned), string(core.ClassSystolic),
 			string(core.ClassGroup), string(core.ClassArbitrary),
@@ -317,8 +178,8 @@ func (s *Server) resolve(req *MapRequest) (*resolved, *httpError) {
 		if r.opts.Algo == "auto" {
 			r.opts.Algo = ""
 		}
-		r.check = r.check || r.opts.Check
-		r.nocache = r.nocache || r.opts.NoCache
+		r.check = r.opts.Check
+		r.nocache = r.opts.NoCache
 	}
 	// The effective budget is the server's per-request share of the
 	// machine; a request may only lower it.

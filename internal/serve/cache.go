@@ -27,9 +27,9 @@ func cacheKey(canonicalSrc string, bindings map[string]int, netName string, o *M
 			h.Write([]byte{0})
 		}
 	}
-	// "v2": the options digest switched from the deprecated force
-	// spelling to the merged algo value, so v1-era persisted stores stay
-	// loadable but go cold rather than aliasing across schema versions.
+	// "v2" salts the key with the schema version: v1-era persisted
+	// stores stay loadable but go cold rather than aliasing across
+	// schema versions.
 	part("v2", canonicalSrc, netName)
 	names := make([]string, 0, len(bindings))
 	for k := range bindings {

@@ -72,6 +72,11 @@ func TestUnknownRequestFieldsRejectedByName(t *testing.T) {
 		{"nested option", "/v1/map", `{"workload":"nbody","net":"hypercube:3","options":{"parallel":2}}`, "parallel"},
 		{"vet", "/v1/vet", `{"source":"x","sources":"y"}`, "sources"},
 		{"batch item", "/v1/map/batch", `[{"workload":"nbody","net":"hypercube:3","chck":true}]`, "chck"},
+		// Retired v1 spellings: options.check, options.nocache and
+		// options.algo are the only homes of these knobs.
+		{"retired top-level check", "/v1/map", `{"workload":"nbody","net":"hypercube:3","check":true}`, "check"},
+		{"retired top-level nocache", "/v1/map", `{"workload":"nbody","net":"hypercube:3","nocache":true}`, "nocache"},
+		{"retired options.force", "/v1/map", `{"workload":"nbody","net":"hypercube:3","options":{"force":"canned"}}`, "force"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

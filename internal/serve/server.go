@@ -714,29 +714,20 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// batchMode is the negotiated /v1/map/batch response framing.
-type batchMode int
-
-const (
-	batchNDJSON   batchMode = iota // default: one BatchItem JSON line per result
-	batchSSE                       // Accept: text/event-stream — "data: <BatchItem>\n\n" events
-	batchBuffered                  // Accept: application/json — deprecated v1 BatchResponse
-)
-
-// negotiateBatch picks the response framing from the Accept header.
-// NDJSON is the default; an explicit application/json (without the
-// ndjson subtype) selects the deprecated buffered v1 body.
-func negotiateBatch(accept string) batchMode {
+// negotiateBatch picks the response framing from the Accept header:
+// SSE for text/event-stream, NDJSON otherwise. An Accept naming
+// application/json without the ndjson subtype is refused with 406: the
+// batch is always a stream, and a client expecting one JSON document
+// would misread the first line.
+func negotiateBatch(accept string) (sse bool, herr *httpError) {
 	switch {
 	case strings.Contains(accept, "text/event-stream"):
-		return batchSSE
-	case strings.Contains(accept, "application/x-ndjson"):
-		return batchNDJSON
-	case strings.Contains(accept, "application/json"):
-		return batchBuffered
-	default:
-		return batchNDJSON
+		return true, nil
+	case strings.Contains(accept, "application/json") && !strings.Contains(accept, "application/x-ndjson"):
+		return false, &httpError{status: http.StatusNotAcceptable,
+			msg: "batch results stream as NDJSON (Accept: application/x-ndjson) or SSE (Accept: text/event-stream); there is no application/json batch body"}
 	}
+	return false, nil
 }
 
 // handleBatch fans the items out across the worker pool and streams each
@@ -745,14 +736,18 @@ func negotiateBatch(accept string) batchMode {
 // first result arrives before the slowest computes. Items are framed as
 // BatchItem (completion order, index for reassembly). A client that
 // disconnects mid-stream cancels the remaining computations through the
-// request context. The deprecated buffered BatchResponse body is still
-// served to clients that ask for Accept: application/json.
+// request context.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {
 		return
 	}
 	s.reg.InFlight.Add(1)
 	defer s.reg.InFlight.Add(-1)
+	sse, herr := negotiateBatch(r.Header.Get("Accept"))
+	if herr != nil {
+		s.writeError(w, herr)
+		return
+	}
 	var reqs []MapRequest
 	if herr := decodeJSON(r, &reqs); herr != nil {
 		s.writeError(w, herr)
@@ -772,7 +767,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	queryCheck := r.URL.Query().Get("check") == "1"
-	mode := negotiateBatch(r.Header.Get("Accept"))
 	ctx := r.Context()
 
 	items := make(chan BatchItem)
@@ -800,16 +794,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		close(items)
 	}()
 
-	if mode == batchBuffered {
-		resps := make([]MapResponse, len(reqs))
-		for item := range items {
-			resps[item.Index] = item.MapResponse
-		}
-		writeJSON(w, http.StatusOK, BatchResponse{APIVersion: APIVersion, Results: resps})
-		return
-	}
-
-	if mode == batchSSE {
+	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
 	} else {
@@ -826,7 +811,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		if mode == batchSSE {
+		if sse {
 			_, err = fmt.Fprintf(w, "data: %s\n\n", line)
 		} else {
 			_, err = fmt.Fprintf(w, "%s\n", line)
@@ -840,7 +825,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	if mode == batchSSE && !broken {
+	if sse && !broken {
 		fmt.Fprint(w, "event: done\ndata: {}\n\n")
 	}
 }

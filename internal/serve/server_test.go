@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -108,7 +109,7 @@ func TestMapInlineSourceSharesCacheWithLayoutVariants(t *testing.T) {
 
 func TestMapNoCacheBypass(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := MapRequest{Workload: "broadcast8", Net: "hypercube:3", NoCache: true}
+	req := MapRequest{Workload: "broadcast8", Net: "hypercube:3", Options: &MapRequestOptions{NoCache: true}}
 	if _, resp := postMap(t, ts.URL, req, ""); resp.Cache != "bypass" {
 		t.Errorf("cache = %q, want bypass", resp.Cache)
 	}
@@ -119,7 +120,7 @@ func TestMapNoCacheBypass(t *testing.T) {
 		t.Errorf("bypass counter = %d, want 2", s.Stats().CacheBypass.Load())
 	}
 	// The bypass results were still stored: a normal request now hits.
-	req.NoCache = false
+	req.Options = nil
 	if _, resp := postMap(t, ts.URL, req, ""); resp.Cache != "hit" {
 		t.Errorf("post-bypass cache = %q, want hit", resp.Cache)
 	}
@@ -139,7 +140,7 @@ func TestMapErrors(t *testing.T) {
 		{"bad net spec", MapRequest{Workload: "nbody", Net: "hyprcube:3"}, 400, "hyprcube"},
 		{"unknown workload", MapRequest{Workload: "nosuch", Net: "hypercube:3"}, 400, "unknown workload"},
 		{"parse error", MapRequest{Source: "not larcs", Net: "hypercube:3"}, 422, "parse"},
-		{"bad force", MapRequest{Workload: "nbody", Net: "hypercube:3", Options: &MapRequestOptions{Force: "magic"}}, 400, "magic"},
+		{"bad algo", MapRequest{Workload: "nbody", Net: "hypercube:3", Options: &MapRequestOptions{Algo: "magic"}}, 400, "magic"},
 		{"compile error", MapRequest{Workload: "nbody", Net: "hypercube:3", Bindings: map[string]int{"n": -3}}, 422, "compile"},
 	}
 	for _, tc := range cases {
@@ -265,12 +266,7 @@ func TestBatch(t *testing.T) {
 		{Workload: "nbody", Net: "hypercube:3"}, // duplicate of [0]
 	}
 	body, _ := json.Marshal(reqs)
-	// Accept: application/json selects the deprecated buffered v1 body;
-	// the streaming default is covered by TestBatchStreamsNDJSON.
-	breq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/map/batch", bytes.NewReader(body))
-	breq.Header.Set("Content-Type", "application/json")
-	breq.Header.Set("Accept", "application/json")
-	resp, err := http.DefaultClient.Do(breq)
+	resp, err := http.Post(ts.URL+"/v1/map/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,16 +274,26 @@ func TestBatch(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var batch BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
-		t.Fatal(err)
+	// Items stream in completion order; Index reassembles request order.
+	out := make([]MapResponse, len(reqs))
+	got := 0
+	dec := json.NewDecoder(resp.Body)
+	for dec.More() {
+		var item BatchItem
+		if err := dec.Decode(&item); err != nil {
+			t.Fatal(err)
+		}
+		if item.APIVersion != APIVersion {
+			t.Errorf("batch apiVersion = %q, want %q", item.APIVersion, APIVersion)
+		}
+		if item.Index < 0 || item.Index >= len(out) {
+			t.Fatalf("item index %d out of range", item.Index)
+		}
+		out[item.Index] = item.MapResponse
+		got++
 	}
-	if batch.APIVersion != APIVersion {
-		t.Errorf("batch apiVersion = %q, want %q", batch.APIVersion, APIVersion)
-	}
-	out := batch.Results
-	if len(out) != 4 {
-		t.Fatalf("got %d responses, want 4", len(out))
+	if got != 4 {
+		t.Fatalf("got %d responses, want 4", got)
 	}
 	if out[0].Error != "" || out[1].Error != "" || out[3].Error != "" {
 		t.Errorf("unexpected item errors: %+v", out)
@@ -311,6 +317,19 @@ func TestBatch(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != 400 {
 		t.Errorf("oversized batch status = %d, want 400", resp2.StatusCode)
+	}
+	// There is no buffered application/json batch body: a client asking
+	// only for one gets a 406 pointing at the stream framings.
+	breq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/map/batch", bytes.NewReader(body))
+	breq.Header.Set("Accept", "application/json")
+	resp3, err := http.DefaultClient.Do(breq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp3.Body)
+	resp3.Body.Close()
+	if resp3.StatusCode != http.StatusNotAcceptable || !strings.Contains(string(msg), "application/x-ndjson") {
+		t.Errorf("Accept: application/json batch: status = %d body %s, want 406 naming NDJSON", resp3.StatusCode, msg)
 	}
 }
 

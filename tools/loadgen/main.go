@@ -231,7 +231,7 @@ func runPhase(cl *client.Client, mix []target, n, c int, nocache, check bool, wa
 				t0 := time.Now()
 				resp, err := cl.Map(context.Background(), client.MapRequest{
 					Workload: t.Workload, Bindings: t.Bindings, Net: t.Net,
-					NoCache: nocache, Check: check,
+					Options: &client.MapOptions{NoCache: nocache, Check: check},
 				})
 				lat := time.Since(t0)
 				mu.Lock()
@@ -345,7 +345,7 @@ func newFlagSet() *flags {
 	f.mix = f.fs.String("mix", "nbody:n=511@hypercube:5,jacobi:n=32@mesh:8,4,broadcast8@hypercube:3", "comma-separated workload[:k=v...]@net entries to request round-robin")
 	f.n = f.fs.Int("n", 200, "requests per phase")
 	f.c = f.fs.Int("c", 8, "concurrent closed-loop workers")
-	f.check = f.fs.Bool("check", false, "request oracle verification (?check=1) on every map")
+	f.check = f.fs.Bool("check", false, "request oracle verification (options.check) on every map")
 	f.chaos = f.fs.Bool("chaos", false, "run the kill-driven crash-safety harness (requires -launch)")
 	f.cluster = f.fs.Int("cluster", 0, "run N serve nodes as a consistent-hash cluster and kill one mid-run (requires -launch; -kill-after and -window shape the kill window)")
 	f.stateDir = f.fs.String("state-dir", "", "persistent state directory for -chaos (default: a temp dir, removed on success)")
@@ -357,12 +357,11 @@ func newFlagSet() *flags {
 // newRetryClient builds the client used around the kill window: patient
 // enough to ride out a SIGKILL plus restart plus WAL recovery.
 func newRetryClient(addr string) *client.Client {
-	return client.New(addr, client.Options{
-		MaxAttempts:    10,
-		BaseBackoff:    50 * time.Millisecond,
-		MaxBackoff:     2 * time.Second,
-		AttemptTimeout: 15 * time.Second,
-	})
+	return client.New(addr,
+		client.WithRetries(10),
+		client.WithBackoff(50*time.Millisecond, 2*time.Second),
+		client.WithTimeout(15*time.Second),
+	)
 }
 
 // waitPersisted polls the stats endpoint until the write-behind
@@ -404,7 +403,8 @@ func chaosWindow(srv *server, bin, stateDir string, mix []target, c int, killAft
 				t := mix[i%len(mix)]
 				t0 := time.Now()
 				_, err := rcl.Map(context.Background(), client.MapRequest{
-					Workload: t.Workload, Bindings: t.Bindings, Net: t.Net, NoCache: true,
+					Workload: t.Workload, Bindings: t.Bindings, Net: t.Net,
+					Options: &client.MapOptions{NoCache: true},
 				})
 				lat := time.Since(t0)
 				mu.Lock()
@@ -889,7 +889,7 @@ func run(args []string, out io.Writer) error {
 	}
 	// Measured phases use a non-retrying client so every failure is an
 	// error in the numbers, not a silently-retried blip.
-	cl := client.New(addr, client.Options{MaxAttempts: 1})
+	cl := client.New(addr, client.WithRetries(1))
 
 	// Cold: bypass the cache so every request pays full compute.
 	cold := runPhase(cl, mix, *fs.n, *fs.c, true, *fs.check, nil)
