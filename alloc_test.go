@@ -61,8 +61,8 @@ func TestAllocBudgetGraphBuild(t *testing.T) {
 func TestAllocBudgetCollapsedEntries(t *testing.T) {
 	c, _ := allocWorkload(t)
 	c.Graph.WarmCSR()
-	gate(t, "CollapsedEntries(1)", 8, func() {
-		if len(c.Graph.CollapsedEntries(1)) == 0 {
+	gate(t, "CollapsedEntries", 8, func() {
+		if len(c.Graph.CollapsedEntries()) == 0 {
 			t.Fatal("no entries")
 		}
 	})

@@ -443,11 +443,17 @@ func BenchmarkTorusDetectAndEmbed(b *testing.B) {
 
 func BenchmarkKLRefine(b *testing.B) {
 	g := workload.RandomTaskGraph(64, 0.3, 20, 13)
-	base := contract.Random(g, 8, 5)
+	c := g.CSR()
+	base := make([]int32, g.NumTasks)
+	vw := make([]int32, g.NumTasks)
+	for t, cl := range contract.Random(g, 8, 5) {
+		base[t], vw[t] = int32(cl), 1
+	}
+	part := make([]int32, len(base))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		part := append([]int(nil), base...)
-		contract.KLRefine(g, part, 8, 8)
+		copy(part, base)
+		contract.Refine(c.Off, c.Adj, c.W, vw, part, 8, 8)
 	}
 }
 

@@ -92,7 +92,7 @@ func MWMContract(g *graph.TaskGraph, opt Options) ([]int, error) {
 	}
 	// The collapsed static graph is scored once and reused by every
 	// stage (the sequential version recomputed it per stage).
-	entries := g.CollapsedEntries(workers)
+	entries := g.CollapsedEntries()
 	u := newUnionFind(v)
 
 	if !opt.SkipGreedy && v > 2*opt.Processors {

@@ -67,7 +67,7 @@ func AssignmentCost(g *graph.TaskGraph, part []int, execA, execB []float64) floa
 			cost += execB[t]
 		}
 	}
-	for _, e := range g.CollapsedEntries(1) {
+	for _, e := range g.CollapsedEntries() {
 		if part[e.A] != part[e.B] {
 			cost += e.W
 		}

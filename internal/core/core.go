@@ -499,6 +499,28 @@ func mapGroup(ctx context.Context, req Request, res *Result, trail func(string, 
 	return m, nil
 }
 
+// refinePartition runs the shared refinement kernel on a task-level
+// partition in place: unit task weights, the current largest cluster
+// as the size bound, 8 passes. It returns the moves plus swaps applied.
+func refinePartition(g *graph.TaskGraph, part []int) int {
+	c := g.CSR()
+	p32 := make([]int32, len(part))
+	vw := make([]int32, len(part))
+	size := make([]int32, len(part))
+	bound := int32(0)
+	for t, cl := range part {
+		p32[t], vw[t] = int32(cl), 1
+		if size[cl]++; size[cl] > bound {
+			bound = size[cl]
+		}
+	}
+	moves := contract.Refine(c.Off, c.Adj, c.W, vw, p32, bound, 8)
+	for t, cl := range p32 {
+		part[t] = int(cl)
+	}
+	return moves
+}
+
 // mapArbitrary is the fallback: MWM-Contract then NN-Embed, contracting
 // to the number of live processors on degraded networks. It is itself
 // fault-tolerant: a panic or a StageTimeout expiry inside MWM-Contract
@@ -522,7 +544,7 @@ func mapArbitrary(ctx context.Context, req Request, res *Result, trail func(stri
 		m.Part = part
 		trail("arbitrary: contracted to %d clusters (IPC %g)", m.NumClusters(), m.TotalIPC())
 		if req.Refine {
-			_, moves := contract.KLRefine(g, m.Part, 0, 8)
+			moves := refinePartition(g, m.Part)
 			trail("arbitrary: KL refinement applied %d moves (IPC %g)", moves, m.TotalIPC())
 		}
 	}

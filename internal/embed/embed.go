@@ -201,7 +201,7 @@ func Random(k int, net *topology.Network, seed int64) ([]int, error) {
 // distance (max dilation). Lower is better; dilation 1 everywhere means
 // the cluster graph is a subgraph of the network.
 func WeightedDilation(cg *graph.TaskGraph, net *topology.Network, place []int) (total float64, maxHops int) {
-	for _, e := range cg.CollapsedEntries(1) {
+	for _, e := range cg.CollapsedEntries() {
 		d := net.Distance(place[e.A], place[e.B])
 		total += e.W * float64(d)
 		if d > maxHops {

@@ -67,7 +67,7 @@ func (g *TaskGraph) MaxDegree() int {
 // of task v). This is the "total IPC" objective of MWM-Contract.
 func (g *TaskGraph) EdgeCut(part []int) float64 {
 	var cut float64
-	for _, e := range g.CollapsedEntries(1) {
+	for _, e := range g.CollapsedEntries() {
 		if part[e.A] != part[e.B] {
 			cut += e.W
 		}

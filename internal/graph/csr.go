@@ -11,8 +11,8 @@ import "oregami/internal/par"
 // Row v spans Adj[Off[v]:Off[v+1]]: the distinct neighbors of task v in
 // ascending order, with W aligned slot for slot carrying the total
 // undirected communication volume between the pair, accumulated in the
-// flatWeights chain order (see the note there). A CSR is immutable once
-// built and safe to share across goroutines.
+// collapsedPairs chain order. A CSR is immutable once built and safe to
+// share across goroutines.
 type CSR struct {
 	// N is the number of tasks (rows).
 	N int
@@ -58,30 +58,24 @@ func (c *CSR) WeightBetween(a, b int) (float64, bool) {
 func (c *CSR) NumPairs() int { return len(c.Adj) / 2 }
 
 // triple is one directed contribution to the collapsed graph during the
-// CSR/entries build: the undirected pair (a < b), the comm phase it came
-// from, and its global position in phase-then-edge traversal order. seq
-// makes (a, b, seq) a strict total order, so sorting is deterministic at
-// every worker count, and the stable-by-construction (phase, edge) order
-// within each pair reproduces the exact float addition sequence of the
-// per-phase map accumulation the flat build replaced.
+// CSR build: the undirected pair (a < b) and its global position in
+// phase-then-edge traversal order. seq makes (a, b, seq) a strict total
+// order, so the sort is deterministic and each pair's weights add up in
+// one chain, in phase-then-edge order.
 type triple struct {
-	a, b  int32
-	phase int32
-	seq   int32
-	w     float64
+	a, b int32
+	seq  int32
+	w    float64
 }
 
-// collapseTriples gathers one triple per non-self directed edge of every
-// phase, in phase-then-edge order, then sorts by (a, b, seq) on up to
-// workers goroutines.
-func (g *TaskGraph) collapseTriples(workers int) []triple {
-	n := 0
-	for _, p := range g.Comm {
-		n += len(p.Edges)
-	}
-	ts := make([]triple, 0, n)
+// collapsedPairs returns the collapsed pairs sorted by (A, B): the total
+// communication volume between each pair of distinct tasks, summed over
+// all phases and both directions in phase-then-edge order. It is the
+// only summation order of the collapsed graph; the CSR is built from it.
+func (g *TaskGraph) collapsedPairs() []CollapsedEntry {
+	ts := make([]triple, 0, g.NumEdges())
 	seq := int32(0)
-	for pi, p := range g.Comm {
+	for _, p := range g.Comm {
 		for _, e := range p.Edges {
 			seq++
 			if e.From == e.To {
@@ -91,10 +85,10 @@ func (g *TaskGraph) collapseTriples(workers int) []triple {
 			if a > b {
 				a, b = b, a
 			}
-			ts = append(ts, triple{a: a, b: b, phase: int32(pi), seq: seq, w: e.Weight})
+			ts = append(ts, triple{a: a, b: b, seq: seq, w: e.Weight})
 		}
 	}
-	par.Sort(workers, ts, func(x, y triple) bool {
+	par.Sort(1, ts, func(x, y triple) bool {
 		if x.a != y.a {
 			return x.a < y.a
 		}
@@ -103,29 +97,17 @@ func (g *TaskGraph) collapseTriples(workers int) []triple {
 		}
 		return x.seq < y.seq
 	})
-	return ts
-}
-
-// foldTriples scans sorted triples and emits one CollapsedEntry per
-// distinct pair. Within a pair, edge weights accumulate into a per-phase
-// subtotal that is flushed into the pair total at each phase boundary —
-// the exact addition order of the per-phase map merge this replaces, so
-// every weight is bit-identical to the historical value.
-func foldTriples(ts []triple, emit func(CollapsedEntry)) {
+	out := make([]CollapsedEntry, 0, len(ts))
 	for i := 0; i < len(ts); {
 		a, b := ts[i].a, ts[i].b
 		var total float64
 		for i < len(ts) && ts[i].a == a && ts[i].b == b {
-			phase := ts[i].phase
-			var sub float64
-			for i < len(ts) && ts[i].a == a && ts[i].b == b && ts[i].phase == phase {
-				sub += ts[i].w
-				i++
-			}
-			total += sub
+			total += ts[i].w
+			i++
 		}
-		emit(CollapsedEntry{A: int(a), B: int(b), W: total})
+		out = append(out, CollapsedEntry{A: int(a), B: int(b), W: total})
 	}
+	return out
 }
 
 // buildCSR constructs the CSR from the sorted entries.
@@ -165,7 +147,7 @@ func buildCSR(n int, entries []CollapsedEntry) *CSR {
 // same discipline as topology.WarmDistances.
 func (g *TaskGraph) CSR() *CSR {
 	if g.csr == nil {
-		g.csr = buildCSR(g.NumTasks, g.flatWeights())
+		g.csr = buildCSR(g.NumTasks, g.collapsedPairs())
 	}
 	return g.csr
 }

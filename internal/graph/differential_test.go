@@ -1,16 +1,13 @@
 package graph_test
 
-// Differential referee for the flat CSR core: every map-shaped quantity
-// the old implementation computed (collapsed weights in chain order,
-// collapsed entries in two-level per-phase order, undirected adjacency)
-// is recomputed here with the straightforward map algorithms it
-// replaced, and the flat results must match bit for bit — float
-// comparisons go through math.Float64bits, not epsilon.
+// Differential referee for the flat CSR core: the collapsed weights are
+// recomputed here with the straightforward map algorithm the flat
+// build replaced, and the CSR and CollapsedEntries must match it bit
+// for bit — float comparisons go through math.Float64bits, not epsilon.
 
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"oregami/internal/gen"
@@ -37,40 +34,11 @@ func refChainWeights(g *graph.TaskGraph) map[[2]int]float64 {
 	return w
 }
 
-// refPhaseWeights is the historical CollapsedEntries accumulation: each
-// phase sums into its own subtotal map, and subtotals add into the pair
-// total at phase boundaries. For non-integer weights the result can
-// differ from refChainWeights in the last ulp, which is exactly why the
-// two orders are kept distinct.
-func refPhaseWeights(g *graph.TaskGraph) map[[2]int]float64 {
-	total := make(map[[2]int]float64)
-	for _, p := range g.Comm {
-		sub := make(map[[2]int]float64)
-		for _, e := range p.Edges {
-			if e.From == e.To {
-				continue
-			}
-			a, b := e.From, e.To
-			if a > b {
-				a, b = b, a
-			}
-			sub[[2]int{a, b}] += e.Weight
-		}
-		for k, v := range sub {
-			total[k] += v
-		}
-	}
-	return total
-}
-
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// fractionalSize draws graphs whose weights exercise float rounding:
-// integer weights scaled by 1/3 would change semantics, so instead the
-// stock generator is used but with enough phases that per-phase
-// subtotals actually differ from the single chain when they can.
+// diffSize draws the stock generator's shapes for the referees.
 func diffSize(r *rand.Rand) gen.GraphSize {
 	return gen.GraphSize{
 		Tasks:     2 + r.Intn(24),
@@ -101,32 +69,45 @@ func TestCollapsedWeightsMatchesMapReferee(t *testing.T) {
 	})
 }
 
-func TestCollapsedEntriesMatchesMapRefereeAtEveryBudget(t *testing.T) {
-	budgets := []int{1, 2, 4, runtime.GOMAXPROCS(0) + 3}
+// TestCollapsedEntriesMatchesChainReferee: on fractional weights
+// (generator weights x 0.1, several phases, so pairs collect several
+// contributions and the addition order shows in the last ulp)
+// CollapsedEntries is exactly the CSR's upper triangle, and every
+// weight is the single phase-then-edge chain of refChainWeights.
+func TestCollapsedEntriesMatchesChainReferee(t *testing.T) {
 	gen.ForEachSeed(t, 60, func(t *testing.T, seed int64, r *rand.Rand) {
-		g := gen.TaskGraph(r, diffSize(r))
-		ref := refPhaseWeights(g)
-		for _, workers := range budgets {
-			entries := g.CollapsedEntries(workers)
-			if len(entries) != len(ref) {
-				t.Fatalf("workers=%d: %d entries, referee %d pairs", workers, len(entries), len(ref))
+		size := diffSize(r)
+		size.Phases += 2
+		g := gen.TaskGraph(r, size)
+		for _, p := range g.Comm {
+			for i := range p.Edges {
+				p.Edges[i].Weight *= 0.1
 			}
-			for i, e := range entries {
-				if i > 0 && (entries[i-1].A > e.A || (entries[i-1].A == e.A && entries[i-1].B >= e.B)) {
-					t.Fatalf("workers=%d: entries not strictly sorted at %d: %v then %v",
-						workers, i, entries[i-1], e)
+		}
+		g = g.Clone() // a fresh graph has no CSR cached from before the scaling
+		ref := refChainWeights(g)
+		c := g.CSR()
+		entries := g.CollapsedEntries()
+		if len(entries) != len(ref) || len(entries) != c.NumPairs() {
+			t.Fatalf("%d entries, referee %d pairs, CSR %d pairs", len(entries), len(ref), c.NumPairs())
+		}
+		i := 0
+		for v := 0; v < c.N; v++ {
+			ws := c.RowWeights(v)
+			for j, u := range c.Neighbors(v) {
+				if int(u) <= v {
+					continue
 				}
-				if e.A >= e.B {
-					t.Fatalf("workers=%d: entry %d not normalized: %+v", workers, i, e)
+				e := entries[i]
+				if e.A != v || e.B != int(u) || !sameBits(e.W, ws[j]) {
+					t.Fatalf("entry %d = %+v, CSR upper triangle has (%d,%d,%v)", i, e, v, u, ws[j])
 				}
-				w, ok := ref[[2]int{e.A, e.B}]
-				if !ok {
-					t.Fatalf("workers=%d: entry (%d,%d) not in referee", workers, e.A, e.B)
-				}
+				w := ref[[2]int{e.A, e.B}]
 				if !sameBits(e.W, w) {
-					t.Fatalf("workers=%d: pair (%d,%d) weight %v (bits %x), referee %v (bits %x)",
-						workers, e.A, e.B, e.W, math.Float64bits(e.W), w, math.Float64bits(w))
+					t.Fatalf("pair (%d,%d) weight %v (bits %x), referee %v (bits %x)",
+						e.A, e.B, e.W, math.Float64bits(e.W), w, math.Float64bits(w))
 				}
+				i++
 			}
 		}
 	})
@@ -192,29 +173,6 @@ func TestCSRMatchesMapReferee(t *testing.T) {
 		}
 		if seen != 2*len(ref) {
 			t.Fatalf("CSR has %d directed slots, referee implies %d", seen, 2*len(ref))
-		}
-	})
-}
-
-func TestUndirectedMatchesCSR(t *testing.T) {
-	gen.ForEachSeed(t, 40, func(t *testing.T, seed int64, r *rand.Rand) {
-		g := gen.TaskGraph(r, diffSize(r))
-		c := g.CSR()
-		und := g.Undirected()
-		if len(und) != g.NumTasks {
-			t.Fatalf("Undirected has %d rows for %d tasks", len(und), g.NumTasks)
-		}
-		for v := range und {
-			nbrs, ws := c.Neighbors(v), c.RowWeights(v)
-			if len(und[v]) != len(nbrs) {
-				t.Fatalf("task %d: Undirected row %d, CSR row %d", v, len(und[v]), len(nbrs))
-			}
-			for i, wn := range und[v] {
-				if wn.To != int(nbrs[i]) || !sameBits(wn.Weight, ws[i]) {
-					t.Fatalf("task %d slot %d: Undirected %+v, CSR (%d, %v)",
-						v, i, wn, nbrs[i], ws[i])
-				}
-			}
 		}
 	})
 }

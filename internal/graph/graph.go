@@ -290,30 +290,6 @@ func (g *TaskGraph) Clone() *TaskGraph {
 	return c
 }
 
-// flatWeights returns the collapsed pairs sorted by (A, B): the total
-// communication volume between each pair of distinct tasks, summed over
-// all phases and both directions. The CSR is built from it.
-//
-// Accumulation order note: flatWeights sums each pair's edge weights in
-// one chain, in phase-then-edge order, while CollapsedEntries keeps the
-// two-level per-phase-subtotal order. The two can differ in the last
-// ulp on non-integer weights, and callers were written against one or
-// the other, so both orders are preserved exactly.
-func (g *TaskGraph) flatWeights() []CollapsedEntry {
-	ts := g.collapseTriples(1)
-	out := make([]CollapsedEntry, 0, len(ts))
-	for i := 0; i < len(ts); {
-		a, b := ts[i].a, ts[i].b
-		var total float64
-		for i < len(ts) && ts[i].a == a && ts[i].b == b {
-			total += ts[i].w
-			i++
-		}
-		out = append(out, CollapsedEntry{A: int(a), B: int(b), W: total})
-	}
-	return out
-}
-
 // CollapsedEntry is one undirected edge of the collapsed static graph:
 // tasks A < B with total inter-task volume W.
 type CollapsedEntry struct {
@@ -321,43 +297,23 @@ type CollapsedEntry struct {
 	W    float64
 }
 
-// CollapsedEntries returns the collapsed static graph as a slice sorted
-// by (A, B), built flat (no maps): directed edges become (pair, phase,
-// seq) triples sorted on up to workers goroutines, then per-pair runs
-// fold into weights. The per-pair addition order is fixed — edge order
-// within a phase into a subtotal, subtotals added in phase declaration
-// order — regardless of the worker count, so the weights (and
-// everything contracted from them) are bit-identical at any
-// parallelism. Contraction consumes this form; random-access callers
-// use the CSR.
-func (g *TaskGraph) CollapsedEntries(workers int) []CollapsedEntry {
-	ts := g.collapseTriples(workers)
-	out := make([]CollapsedEntry, 0, len(ts))
-	foldTriples(ts, func(e CollapsedEntry) { out = append(out, e) })
-	return out
-}
-
-// Undirected returns the collapsed static graph as adjacency lists of
-// (neighbor, weight) pairs, one entry per unordered task pair, carved
-// from one backing array off the cached CSR.
-func (g *TaskGraph) Undirected() [][]WeightedNeighbor {
+// CollapsedEntries returns the collapsed static graph as a fresh slice
+// sorted by (A, B): the upper triangle of the cached CSR, so every
+// weight is the CSR's and nothing is re-sorted per call. Contraction
+// and the pair-order sums (EdgeCut, WeightedDilation, AssignmentCost)
+// consume this form; random-access callers use the CSR.
+func (g *TaskGraph) CollapsedEntries() []CollapsedEntry {
 	c := g.CSR()
-	adj := make([][]WeightedNeighbor, g.NumTasks)
-	backing := make([]WeightedNeighbor, len(c.Adj))
-	for v := 0; v < g.NumTasks; v++ {
-		row := backing[c.Off[v]:c.Off[v+1]:c.Off[v+1]]
+	out := make([]CollapsedEntry, 0, c.NumPairs())
+	for v := 0; v < c.N; v++ {
+		ws := c.RowWeights(v)
 		for i, u := range c.Neighbors(v) {
-			row[i] = WeightedNeighbor{To: int(u), Weight: c.RowWeights(v)[i]}
+			if int(u) > v {
+				out = append(out, CollapsedEntry{A: v, B: int(u), W: ws[i]})
+			}
 		}
-		adj[v] = row
 	}
-	return adj
-}
-
-// WeightedNeighbor is one endpoint of an undirected weighted edge.
-type WeightedNeighbor struct {
-	To     int
-	Weight float64
+	return out
 }
 
 // Degree returns the number of distinct neighbors of task v in the

@@ -108,26 +108,8 @@ func TestCollapsedIgnoresSelfLoops(t *testing.T) {
 	g := New("g", 2)
 	p := g.AddCommPhase("p")
 	g.AddEdge(p, 0, 0, 7)
-	if len(g.CollapsedEntries(1)) != 0 || g.CSR().NumPairs() != 0 {
+	if len(g.CollapsedEntries()) != 0 || g.CSR().NumPairs() != 0 {
 		t.Error("self loop appeared in collapsed weights")
-	}
-}
-
-func TestUndirectedSymmetry(t *testing.T) {
-	g := ringGraph(5)
-	adj := g.Undirected()
-	for v := range adj {
-		for _, nb := range adj[v] {
-			found := false
-			for _, back := range adj[nb.To] {
-				if back.To == v && back.Weight == nb.Weight {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("edge %d->%d (w=%g) has no symmetric partner", v, nb.To, nb.Weight)
-			}
-		}
 	}
 }
 
@@ -291,7 +273,7 @@ func TestEdgeCutExtremesProperty(t *testing.T) {
 			diff[i] = i
 		}
 		var total float64
-		for _, e := range g.CollapsedEntries(1) {
+		for _, e := range g.CollapsedEntries() {
 			total += e.W
 		}
 		return g.EdgeCut(same) == 0 && g.EdgeCut(diff) == total

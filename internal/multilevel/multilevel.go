@@ -3,8 +3,8 @@
 // al.; ROADMAP item 2): repeatedly heavy-edge-match and contract the
 // CSR graph until it is small, run the paper's exact MWM-Contract
 // pipeline on the coarsest graph, then walk the hierarchy back up,
-// projecting the partition and locally refining it with greedy task
-// moves judged by exact METRICS deltas. One matching round (the
+// projecting the partition and locally refining it with task moves and
+// swaps judged by exact METRICS deltas. One matching round (the
 // paper's Section 4.3) caps practical size around thousands of tasks;
 // the O(|E|)-per-level hierarchy handles n=1e6 in seconds.
 package multilevel
@@ -40,9 +40,9 @@ type Options struct {
 	// MaxLevels caps the hierarchy depth (0 = 48; a graph that halves
 	// every level is exhausted long before that).
 	MaxLevels int
-	// RefinePasses is the number of greedy refinement sweeps per
-	// uncoarsening step (0 = 2). Each sweep visits every task once in
-	// index order, so refinement stays O(passes * |E|) per level.
+	// RefinePasses is the number of refinement passes per uncoarsening
+	// step (0 = 2). Each pass is a move sweep and a swap sweep, each
+	// visiting every vertex once in index order.
 	RefinePasses int
 	// Ctx carries cooperative cancellation (nil = background).
 	Ctx context.Context
@@ -107,8 +107,8 @@ type Stats struct {
 	CoarsestTasks int
 	// Clusters is the final cluster count.
 	Clusters int
-	// RefineMoves counts the greedy moves applied across all
-	// uncoarsening steps.
+	// RefineMoves counts the moves plus swaps refinement applied across
+	// all uncoarsening steps.
 	RefineMoves int
 }
 

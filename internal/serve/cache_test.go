@@ -187,12 +187,12 @@ func TestSingleflightDeduplicates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			atomic.AddInt32(&entered, 1)
-			_, _, wasShared := g.do("key", func() (*cacheEntry, error) {
+			_, _, wasShared, _ := g.do("key", func() (*cacheEntry, bool, error) {
 				mu.Lock()
 				calls++
 				mu.Unlock()
 				<-block
-				return &cacheEntry{key: "key"}, nil
+				return &cacheEntry{key: "key"}, false, nil
 			})
 			if wasShared {
 				atomic.AddInt32(&nShared, 1)

@@ -23,7 +23,7 @@ func TestFlightPanicPropagatesToAllWaiters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err, _ := g.do("k", func() (*cacheEntry, error) {
+		_, _, _, err := g.do("k", func() (*cacheEntry, bool, error) {
 			close(leaderIn) // flight registered; release the waiters
 			time.Sleep(20 * time.Millisecond)
 			panic("boom in leader")
@@ -35,9 +35,9 @@ func TestFlightPanicPropagatesToAllWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e, err, shared := g.do("k", func() (*cacheEntry, error) {
+			e, _, shared, err := g.do("k", func() (*cacheEntry, bool, error) {
 				t.Error("waiter ran fn despite an in-flight leader")
-				return nil, nil
+				return nil, false, nil
 			})
 			if e != nil || !shared {
 				t.Errorf("waiter got entry=%v shared=%v, want nil/true", e, shared)
@@ -63,8 +63,8 @@ func TestFlightPanicPropagatesToAllWaiters(t *testing.T) {
 	}
 
 	// The key is clear: a new call computes instead of joining a corpse.
-	e, err, shared := g.do("k", func() (*cacheEntry, error) {
-		return &cacheEntry{key: "k"}, nil
+	e, _, shared, err := g.do("k", func() (*cacheEntry, bool, error) {
+		return &cacheEntry{key: "k"}, false, nil
 	})
 	if err != nil || shared || e == nil {
 		t.Fatalf("post-panic do: entry=%v err=%v shared=%v, want fresh compute", e, err, shared)

@@ -557,36 +557,42 @@ func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool,
 		s.persist(e)
 	} else {
 		// The cache lookup happens inside the flight, so each request
-		// performs exactly one lookup (one hit or miss count) and
-		// concurrent identical misses collapse onto one computation.
-		// Checked requests need a live mapping for the oracle, so a
-		// warm-restored (mapping-less) entry counts as a miss for them.
-		hit := false
-		e, err, shared := s.flights.do(r.key, func() (*cacheEntry, error) {
+		// performs at most one lookup and concurrent identical misses
+		// collapse onto one computation. Checked requests need a live
+		// mapping for the oracle, so a warm-restored (mapping-less) entry
+		// counts as a miss for them.
+		e, hit, shared, err := s.flights.do(r.key, func() (*cacheEntry, bool, error) {
 			if e, ok := s.cache.get(r.key, r.check); ok {
-				hit = true
-				return e, nil
+				return e, true, nil
 			}
 			e, cerr := s.computeAdmitted(ctx, r)
 			if cerr != nil {
-				return nil, cerr
+				return nil, false, cerr
 			}
 			s.cache.put(e)
 			s.persist(e)
-			return e, nil
+			return e, false, nil
 		})
 		if err != nil {
 			return MapResponse{}, asHTTPError(err)
 		}
 		entry = e
 		switch {
+		case hit:
+			// A follower of a flight that ended as a hit was served from
+			// the cache too: it counts as a hit (the leader's lookup
+			// counted only the leader's), not as a dedup.
+			how = "hit"
+			if shared {
+				s.reg.CacheHits.Add(1)
+				if e.m == nil {
+					s.reg.WarmHits.Add(1)
+				}
+			}
 		case shared:
-			// hit belongs to the flight leader; followers report the
-			// dedup instead.
+			// Followers of a computing flight report the dedup.
 			s.reg.Deduped.Add(1)
 			how = "shared"
-		case hit:
-			how = "hit"
 		}
 	}
 

@@ -222,6 +222,69 @@ func TestConcurrentIdenticalRequestsDeduplicate(t *testing.T) {
 	}
 }
 
+// TestConcurrentWarmRequestsAreHits holds two concurrent requests for
+// one already-cached key on one flight: the leader's lookup is parked
+// on the cache lock while the second request joins its flight. A
+// follower of a flight that ended as a hit was served from the cache,
+// so both report "hit" and count as hits; neither is a dedup.
+func TestConcurrentWarmRequestsAreHits(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2, Queue: 64})
+	req := MapRequest{Workload: "jacobi", Net: "mesh:4,4"}
+	if status, resp := postMap(t, ts.URL, req, ""); status != 200 || resp.Cache != "miss" {
+		t.Fatalf("prime: status %d cache %q, want 200 miss", status, resp.Cache)
+	}
+	hits0 := s.Stats().CacheHits.Load()
+
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cache.mu.Lock()
+	var wg sync.WaitGroup
+	kinds := make(chan string, 2)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var out MapResponse
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != 200 {
+				t.Errorf("status %d, decode error %v", resp.StatusCode, err)
+				return
+			}
+			kinds <- out.Cache
+		}()
+	}
+	// Both requests are past resolve once Requests reaches 3. The sleep
+	// only gives the second a moment to reach the flight the first holds
+	// open; if it arrives late it does its own lookup, which is a hit
+	// as well, so timing can weaken the test but never fail it.
+	for s.Stats().Requests.Load() < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	s.cache.mu.Unlock()
+	wg.Wait()
+	close(kinds)
+
+	for k := range kinds {
+		if k != "hit" {
+			t.Errorf("warm request reported cache %q, want hit", k)
+		}
+	}
+	if got := s.Stats().CacheHits.Load() - hits0; got != 2 {
+		t.Errorf("cache hits grew by %d, want 2", got)
+	}
+	if got := s.Stats().Deduped.Load(); got != 0 {
+		t.Errorf("deduped = %d, want 0", got)
+	}
+}
+
 // TestAdmissionControl saturates a 1-worker, 0-queue server and asserts
 // oversubscribed requests get 429 with a Retry-After header.
 func TestAdmissionControl(t *testing.T) {

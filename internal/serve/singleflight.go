@@ -33,14 +33,17 @@ func (e *FlightPanicError) Error() string {
 type flightCall struct {
 	done chan struct{}
 	val  *cacheEntry
+	hit  bool
 	err  error
 }
 
-// do runs fn once per in-flight key. The boolean reports whether this
-// caller shared another caller's flight instead of computing. Whatever
+// do runs fn once per in-flight key. fn reports whether its entry was a
+// cache hit rather than a fresh computation; do hands that hit flag to
+// every caller of the flight, and shared reports whether this caller
+// joined another caller's flight instead of running fn. Whatever
 // happens inside fn — return, error, or panic — the key is cleared and
 // done is closed, so no waiter is ever stranded.
-func (g *flightGroup) do(key string, fn func() (*cacheEntry, error)) (*cacheEntry, error, bool) {
+func (g *flightGroup) do(key string, fn func() (*cacheEntry, bool, error)) (val *cacheEntry, hit, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flightCall)
@@ -48,7 +51,7 @@ func (g *flightGroup) do(key string, fn func() (*cacheEntry, error)) (*cacheEntr
 	if call, ok := g.m[key]; ok {
 		g.mu.Unlock()
 		<-call.done
-		return call.val, call.err, true
+		return call.val, call.hit, true, call.err
 	}
 	call := &flightCall{done: make(chan struct{})}
 	g.m[key] = call
@@ -57,14 +60,14 @@ func (g *flightGroup) do(key string, fn func() (*cacheEntry, error)) (*cacheEntr
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				call.val, call.err = nil, &FlightPanicError{Value: r}
+				call.val, call.hit, call.err = nil, false, &FlightPanicError{Value: r}
 			}
 			g.mu.Lock()
 			delete(g.m, key)
 			g.mu.Unlock()
 			close(call.done)
 		}()
-		call.val, call.err = fn()
+		call.val, call.hit, call.err = fn()
 	}()
-	return call.val, call.err, false
+	return call.val, call.hit, false, call.err
 }
